@@ -95,6 +95,12 @@ type Stats struct {
 	// satisfied Definition 3.1 (the lemma predicts a >= 1/8 fraction over
 	// the full pairwise-independent space).
 	GoodPoints, PointsScanned int64
+	// ReplayedSubRuns / SimulatedSubRuns split the per-tree score upcasts
+	// and Compute-Pij downcasts into those charged from an identical
+	// earlier run of the same tree (captured-charge replay, DESIGN.md §3)
+	// and those simulated. Both are counters: the charged rounds, messages
+	// and words do not depend on the split.
+	ReplayedSubRuns, SimulatedSubRuns int
 }
 
 // Result is a computed blocker set.
@@ -146,6 +152,8 @@ type state struct {
 	score    []int64 // global knowledge after broadcastScores
 	inVi     []bool  // current V_i (derived locally from score)
 	viSize   int
+	viPrev   []bool    // V_i as of the last refreshBetas
+	flipped  []int32   // nodes whose V_i membership changed since then
 	leafBeta [][]int64 // leafBeta[i][v]: |V_i ∩ path(i,v)| for alive full-length leaves; global knowledge
 	inQ      []bool
 	q        []int
@@ -153,7 +161,7 @@ type state struct {
 
 	// Pooled work buffers (see ensure/reinit).
 	leafBetaBuf []int64            // flat backing of leafBeta
-	counts      []int64            // trees x n upcast results (one shared matrix)
+	counts      []int64            // trees x n scoreij upcast results
 	countUsed   []bool             // per-tree: counts row was filled this pass
 	pijLeafBuf  []bool             // flat backing of pijLeaf
 	pijLeaf     [][]bool           // row views, rebuilt per ensure
@@ -164,6 +172,119 @@ type state struct {
 	nuBuf       []int64            // 2 x n x m good-set aggregation backing
 	nuPi, nuPij [][]int64          // row views into nuBuf
 	members     []int              // selected good-set members
+
+	// Per-tree replay caches, scoped to one Compute (see treeCache), and
+	// the pooled backing their storage is carved from (see carveCaches).
+	trees    []treeCache
+	bound    []int32 // per-tree storage bounds, carveCaches scratch
+	mark     []bool  // carveCaches scratch
+	scoreI32 []int32 // backing of up.nodes, up.counts, upCharge's senders
+	scoreI64 []int64 // backing of upCharge's words
+	downI32  []int32 // backing of dnCharge's senders
+	downI64  []int64 // backing of dnCharge's words
+}
+
+// treeCache holds, for one tree, the last score upcast and Compute-Pij
+// downcast: their results, their captured Stats charges, and the inputs
+// they ran on. A run whose inputs are unchanged is charged from the cache
+// instead of simulated (captured-charge replay, DESIGN.md §3):
+//
+//   - The score upcast reads only the tree's alive nodes (its alive leaves
+//     start with 1), so it repeats exactly while the tree's RemovalEpoch
+//     stays.
+//   - The downcast reads the alive nodes and the V_i membership of the
+//     non-root ones, so it repeats exactly while the epoch stays and no
+//     node alive in the tree changed V_i membership.
+//
+// Message values never affect the charge (every message costs one word),
+// and each slot is written only by its own tree's sub-run, so the caches
+// are safe under ShardRuns. The scoreij upcasts are not replayed: their
+// P_ij leaf set almost never repeats between selection steps, because
+// consecutive steps rarely share a phase.
+type treeCache struct {
+	upValid  bool
+	upEpoch  uint64
+	up       sparseCounts // score upcast result
+	upCharge congest.Charge
+	upReplay bool // the last score upcast was replayed
+
+	dnValid  bool
+	dnEpoch  uint64
+	dnCharge congest.Charge // the result is leafBeta's row
+	dnReplay bool           // the last downcast was replayed
+}
+
+// sparseCounts is one tree's share of the score vector: the nonzero subtree
+// counts of its non-root nodes, as a count upcast left them. A count is at
+// most the number of leaves, so it fits an int32.
+type sparseCounts struct {
+	nodes  []int32
+	counts []int32
+}
+
+// set keeps the nonzero non-root entries of the upcast result acc.
+func (sc *sparseCounts) set(acc []int64, root int) {
+	sc.nodes, sc.counts = sc.nodes[:0], sc.counts[:0]
+	for v, c := range acc {
+		if c != 0 && v != root {
+			sc.nodes = append(sc.nodes, int32(v))
+			sc.counts = append(sc.counts, int32(c))
+		}
+	}
+}
+
+// addTo adds the counts into score.
+func (sc *sparseCounts) addTo(score []int64) {
+	for k, v := range sc.nodes {
+		score[v] += int64(sc.counts[k])
+	}
+}
+
+// carveCaches carves every tree's cache storage from pooled backing, once
+// per Compute. Each tree gets room for its possible senders, counted on the
+// tree as reinit finds it: the alive non-root nodes for the score upcast
+// (which also bounds its nonzero counts), and the alive nodes with an alive
+// child for the downcast. Nothing removes a node before the first upcast
+// and downcast (BuildBFS and Ancestors remove nothing, and the first commit
+// follows the first refresh), and removals only shrink a tree within one
+// Compute, so no result or capture outgrows its room, and a warm Compute
+// allocates nothing for its caches.
+func (st *state) carveCaches() {
+	coll, n := st.coll, st.n
+	up, down := 0, 0
+	for i := range st.trees {
+		root := coll.Sources[i]
+		k, d := 0, 0
+		clear(st.mark)
+		for v := 0; v < n; v++ {
+			if v != root && coll.InTree(i, v) {
+				k++
+				st.mark[coll.Parent[i][v]] = true
+			}
+		}
+		for _, m := range st.mark {
+			if m {
+				d++
+			}
+		}
+		st.bound[2*i], st.bound[2*i+1] = int32(k), int32(d)
+		up += k
+		down += d
+	}
+	st.scoreI32 = congest.Grow(st.scoreI32, 3*up)
+	st.scoreI64 = congest.Grow(st.scoreI64, up)
+	st.downI32 = congest.Grow(st.downI32, down)
+	st.downI64 = congest.Grow(st.downI64, down)
+	uo, do := 0, 0
+	for i := range st.trees {
+		tc, k, d := &st.trees[i], int(st.bound[2*i]), int(st.bound[2*i+1])
+		b := st.scoreI32[3*uo : 3*(uo+k)]
+		tc.up = sparseCounts{b[:0:k], b[k : k : 2*k]}
+		tc.upCharge.Reserve(b[2*k:3*k:3*k], st.scoreI64[uo:uo+k:uo+k])
+		tc.dnCharge.Reserve(st.downI32[do:do+d:do+d], st.downI64[do:do+d:do+d])
+		uo += k
+		do += d
+	}
 }
 
 // reinit points the pooled state at a new (collection, params) pair and
@@ -181,8 +302,18 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 	st.inQ = congest.Grow(st.inQ, n)
 	st.scoreij = congest.Grow(st.scoreij, n)
 	st.inZ = congest.Grow(st.inZ, n)
+	st.viPrev = congest.Grow(st.viPrev, n)
 	st.q = st.q[:0]
 
+	if cap(st.trees) < trees {
+		st.trees = append(st.trees[:cap(st.trees)], make([]treeCache, trees-cap(st.trees))...)
+	}
+	st.trees = st.trees[:trees]
+	for i := range st.trees {
+		st.trees[i].upValid, st.trees[i].dnValid = false, false
+	}
+	st.bound = congest.Grow(st.bound, 2*trees)
+	st.mark = congest.Grow(st.mark, n)
 	st.counts = congest.Grow(st.counts, trees*n)
 	st.countUsed = congest.Grow(st.countUsed, trees)
 	st.leafBetaBuf = congest.Grow(st.leafBetaBuf, trees*n)
@@ -207,9 +338,10 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 		st.items = make([][]broadcast.Item, n)
 	}
 	st.items = st.items[:n]
+	st.carveCaches()
 }
 
-// countsRow returns row i of the pooled trees x n upcast matrix.
+// countsRow returns row i of the pooled trees x n scoreij matrix.
 func (st *state) countsRow(i int) []int64 {
 	return st.counts[i*st.n : (i+1)*st.n : (i+1)*st.n]
 }
@@ -324,8 +456,9 @@ func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*
 				// Step 9: a single node covering > delta^3/(1+eps) of P_ij?
 				thr := st.par.Delta * st.par.Delta * st.par.Delta / onePlusEps * float64(pijSize)
 				best, bestVal := -1, int64(0)
+				// v ascends, so the strict > keeps the lowest id on ties.
 				for v := 0; v < n; v++ {
-					if st.inVi[v] && (scoreij[v] > bestVal || (scoreij[v] == bestVal && bestVal > 0 && best >= 0 && v < best)) {
+					if st.inVi[v] && scoreij[v] > bestVal {
 						best, bestVal = v, scoreij[v]
 					}
 				}
@@ -381,34 +514,46 @@ func (st *state) rebuildVi(lo float64) bool {
 // recomputeScores runs the per-tree subtree-count upcasts ([2]'s score
 // algorithm; O(|S|*h) rounds) and broadcasts all scores (O(n)). The
 // upcasts are independent per-tree protocols: they source-shard across
-// worker clones, each writing only its tree's row of the pooled count
-// matrix, and the score accumulation happens afterwards in tree order
-// (int64 sums are exact, so the result is bit-identical to the sequential
-// loop).
+// worker clones, each keeping its tree's counts in its own cache slot, and
+// the score accumulation happens afterwards (int64 sums are exact, so the
+// result is bit-identical to the sequential loop). A tree no removal
+// touched since its last upcast is replayed from its cache slot.
 func (st *state) recomputeScores() error {
-	n := st.n
-	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		init := w.Scratch().Int64s(n)
-		for _, v := range st.coll.HLeaves(i) {
-			if !st.coll.Removed[i][v] {
+	n, coll := st.n, st.coll
+	err := st.nw.ShardRuns(coll.NumTrees(), func(w *congest.Network, i int) error {
+		tc := &st.trees[i]
+		epoch := coll.RemovalEpoch(i)
+		tc.upReplay = tc.upValid && tc.upEpoch == epoch
+		if tc.upReplay {
+			w.Replay(&tc.upCharge)
+			return nil
+		}
+		tc.upValid = false
+		sc := w.Scratch()
+		init, acc := sc.Int64s(n), sc.Int64s(n)
+		for _, v := range coll.HLeaves(i) {
+			if !coll.Removed[i][v] {
 				init[v] = 1
 			}
 		}
-		return st.coll.UpcastSumInto(w, i, init, st.countsRow(i))
+		w.StartCapture()
+		if err := coll.UpcastSumInto(w, i, init, acc); err != nil {
+			return err
+		}
+		w.EndCapture(&tc.upCharge)
+		tc.up.set(acc, coll.Sources[i])
+		tc.upValid, tc.upEpoch = true, epoch
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	score := st.score
 	clear(score)
-	for i := range st.coll.Sources {
-		root := st.coll.Sources[i]
-		counts := st.countsRow(i)
-		for v := 0; v < n; v++ {
-			if v != root && st.coll.InTree(i, v) {
-				score[v] += counts[v]
-			}
-		}
+	for i := range st.trees {
+		tc := &st.trees[i]
+		st.countReplay(tc.upReplay)
+		tc.up.addTo(score)
 	}
 	// All-to-all broadcast of (id, score) items: O(n) rounds (Lemma A.2).
 	perNode := st.singleItems(func(v int) (broadcast.Item, bool) {
@@ -420,18 +565,46 @@ func (st *state) recomputeScores() error {
 	return nil
 }
 
+// countReplay tallies one replay-eligible sub-run in the stats.
+func (st *state) countReplay(replayed bool) {
+	if replayed {
+		st.stats.ReplayedSubRuns++
+	} else {
+		st.stats.SimulatedSubRuns++
+	}
+}
+
 // refreshBetas recomputes leafBeta (the |V_i ∩ path| counts) with the
 // Compute-Pij downcast per tree, then shares the per-leaf values by one
 // all-to-all broadcast so every node can evaluate any |P_ij| locally.
 func (st *state) refreshBetas() error {
+	// The nodes whose V_i membership changed since the last refresh: a
+	// tree is replayed only if none of them is alive in it.
+	st.flipped = st.flipped[:0]
+	for v := 0; v < st.n; v++ {
+		if st.inVi[v] != st.viPrev[v] {
+			st.flipped = append(st.flipped, int32(v))
+		}
+	}
+	copy(st.viPrev, st.inVi)
 	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]); the
 	// broadcast item lists are then assembled sequentially in tree order so
 	// each leaf's item sequence matches the sequential schedule exactly.
 	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
+		tc := &st.trees[i]
+		epoch := st.coll.RemovalEpoch(i)
+		tc.dnReplay = tc.dnValid && tc.dnEpoch == epoch && !st.viChangedIn(i)
+		if tc.dnReplay {
+			w.Replay(&tc.dnCharge)
+			return nil
+		}
+		tc.dnValid = false
 		beta := w.Scratch().Int64s(st.n)
+		w.StartCapture()
 		if err := computePijDowncastInto(w, st.coll, i, st.inVi, beta); err != nil {
 			return err
 		}
+		w.EndCapture(&tc.dnCharge)
 		lb := st.leafBeta[i]
 		clear(lb)
 		for _, v := range st.coll.HLeaves(i) {
@@ -439,10 +612,14 @@ func (st *state) refreshBetas() error {
 				lb[v] = beta[v]
 			}
 		}
+		tc.dnValid, tc.dnEpoch = true, epoch
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	for i := range st.trees {
+		st.countReplay(st.trees[i].dnReplay)
 	}
 	// Per-leaf betas: at most one item per (leaf, tree) pair with a V_i
 	// node; the all-to-all is O(n + K) rounds for K items (Lemma A.2).
@@ -484,6 +661,19 @@ func (st *state) refreshBetas() error {
 		return err
 	}
 	return nil
+}
+
+// viChangedIn reports whether a node alive in tree i, other than its root
+// (whose membership the downcast never reads), changed V_i membership since
+// the last refresh.
+func (st *state) viChangedIn(i int) bool {
+	root := st.coll.Sources[i]
+	for _, v := range st.flipped {
+		if int(v) != root && st.coll.InTree(i, int(v)) {
+			return true
+		}
+	}
+	return false
 }
 
 // pijLeaves returns the indicator of alive full-length paths with at least

@@ -17,6 +17,10 @@ import (
 	"congestapsp/internal/csssp"
 )
 
+// runFor runs the per-tree protocols. Tests swap it for a wrapper that
+// keeps every node live, to check the done flags.
+var runFor = (*congest.Network).RunFor
+
 // Message kinds for the per-tree protocols.
 const (
 	kindAncestor uint8 = iota + 20
@@ -51,7 +55,7 @@ func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int) (off, 
 	recv := sc.Int32s(n)
 	copy(recv, off[:n])
 	*proto = ancProto{coll: coll, i: i, root: coll.Sources[i], h: h, off: off, ids: ids, recv: recv, fwd: sc.Int32s(n)}
-	err = nw.RunFor(proto, h+1)
+	err = runFor(nw, proto, h+1)
 	proto.coll, proto.off, proto.ids, proto.recv, proto.fwd = nil, nil, nil, nil, nil
 	if err != nil {
 		return nil, nil, fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
@@ -74,6 +78,10 @@ type ancProto struct {
 // Step implements congest.Proto. Children are walked via the collection's
 // static child CSR with a Removed filter; no removals happen while this
 // protocol runs, so the walk matches a materialized snapshot exactly.
+//
+// A node is done whenever it has nothing left to forward: its parent sends
+// at most one id per round and each id it receives wakes it, so it never
+// falls behind. Nodes outside the tree are done at once.
 func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	coll, i := p.coll, p.i
 	for _, m := range in {
@@ -82,7 +90,10 @@ func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Me
 			p.recv[v]++
 		}
 	}
-	if coll.InTree(i, v) && round <= p.h {
+	if !coll.InTree(i, v) {
+		return true
+	}
+	if round <= p.h {
 		if round == 0 && v != p.root {
 			// Send own id to children (the root's id is excluded from
 			// ancestor lists: hyperedges drop the root).
@@ -101,7 +112,7 @@ func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Me
 			}
 		}
 	}
-	return round >= p.h
+	return round >= p.h || p.off[v]+p.fwd[v] >= p.recv[v]
 }
 
 // computePijDowncastInto runs Compute-Pij (Algorithm 4): a downcast through
@@ -112,7 +123,7 @@ func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Me
 func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, inVi []bool, beta []int64) error {
 	proto := congest.ScratchState(nw.Scratch(), pijKey{}, func() *pijProto { return new(pijProto) })
 	*proto = pijProto{coll: coll, i: i, root: coll.Sources[i], inVi: inVi, beta: beta, have: nw.Scratch().Bools(nw.N())}
-	err := nw.RunFor(proto, coll.H+1)
+	err := runFor(nw, proto, coll.H+1)
 	proto.coll, proto.inVi, proto.beta, proto.have = nil, nil, nil, nil
 	if err != nil {
 		return fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
@@ -142,7 +153,8 @@ type pijProto struct {
 	have    []bool
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. Every node is done at once: the root acts
+// in round 0, and any other node acts only when its parent's beta wakes it.
 func (p *pijProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	coll, i := p.coll, p.i
 	if round == 0 && v == p.root && coll.InTree(i, v) {
@@ -171,5 +183,5 @@ func (p *pijProto) Step(v, round int, in []congest.Message, send func(congest.Me
 			}
 		}
 	}
-	return round >= 1 // runs until the fixed budget; done flags are advisory
+	return true
 }

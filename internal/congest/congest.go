@@ -209,6 +209,9 @@ type Network struct {
 	// internal/faultinject). Disarmed it costs one nil-check per round.
 	fault FaultInjector
 
+	// capture is the Stats mark of StartCapture (see charge.go).
+	capture statsSnapshot
+
 	// subrun tags the sub-run index this network is currently executing
 	// under ShardRuns (-1 outside ShardRuns); it is reported to the fault
 	// injector and stamped into PanicError.
@@ -719,27 +722,57 @@ func (nw *Network) run(p Proto, maxRounds, dropRound int) (int, error) {
 		nw.roundSeq++
 
 		// Active set for the next round: live (not-done) nodes plus every
-		// message receiver, sorted and deduplicated. Nodes that terminated
-		// with an empty inbox are skipped until a message wakes them.
-		e.next = e.next[:0]
-		for _, v := range e.active {
-			if !e.done[v] {
-				e.next = append(e.next, v)
-			}
-		}
-		live := len(e.next)
-		if len(e.touched) > 0 {
-			e.next = append(e.next, e.touched...)
-			slices.Sort(e.next[live:])
-			e.active = mergeDedup(e.next, live, e.active[:0])
-		} else {
-			e.active, e.next = e.next, e.active
-		}
+		// message receiver, in id order without duplicates. Nodes that
+		// terminated with an empty inbox are skipped until a message wakes
+		// them.
+		e.nextActive(n)
 	}
 	if len(e.active) == 0 {
 		return rounds, nil
 	}
 	return rounds, fmt.Errorf("congest: protocol did not terminate within %d rounds", maxRounds)
+}
+
+// nextActive replaces e.active with the next round's active set: the live
+// nodes of e.active plus the receivers in e.touched, ascending and
+// deduplicated. With few receivers, it sorts them and merges them with the
+// live nodes, which come out of e.active already ordered: O(a + r log r)
+// for a active nodes and r receivers. With many (r >= n/8, so the O(n)
+// sweep costs at most a constant factor over the sort it replaces), it
+// sweeps the ids in order instead, using the done flags as the membership
+// marks: a node outside e.active is done (it is skipped only because it
+// returned done), so once the receivers are marked not done, the next set
+// is exactly {v : !done[v]}. A receiver's flag is rewritten when it steps.
+// Both paths build the same list.
+func (e *engine) nextActive(n int) {
+	if len(e.touched) > 0 && len(e.touched) >= n/8 {
+		for _, r := range e.touched {
+			e.done[r] = false
+		}
+		next, k := e.active[:n], 0
+		for v, d := range e.done {
+			if !d {
+				next[k] = int32(v)
+				k++
+			}
+		}
+		e.active = next[:k]
+		return
+	}
+	e.next = e.next[:0]
+	for _, v := range e.active {
+		if !e.done[v] {
+			e.next = append(e.next, v)
+		}
+	}
+	live := len(e.next)
+	if len(e.touched) > 0 {
+		e.next = append(e.next, e.touched...)
+		slices.Sort(e.next[live:])
+		e.active = mergeDedup(e.next, live, e.active[:0])
+	} else {
+		e.active, e.next = e.next, e.active
+	}
 }
 
 // mergeDedup merges the two sorted runs buf[:mid] and buf[mid:] into out

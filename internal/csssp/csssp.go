@@ -59,6 +59,10 @@ type Collection struct {
 	// Removed[i][v] marks nodes pruned by RemoveSubtrees.
 	Removed [][]bool
 
+	// epoch[i] changes whenever tree i's set of alive nodes may have
+	// changed (see RemovalEpoch).
+	epoch []uint64
+
 	hLeaves [][]int32 // depth-H nodes per tree (static), see HLeaves
 
 	// As-built child CSR per tree: chIds[i][chOff[i][v]:chOff[i][v+1]] is
@@ -103,6 +107,7 @@ func Build(nw *congest.Network, g *graph.Graph, sources []int, h int, mode bford
 	c.Depth = mat.NewInt(ns, n).RowViews()
 	c.Parent = mat.NewInt(ns, n).RowViews()
 	c.Removed = make([][]bool, ns)
+	c.epoch = make([]uint64, ns)
 	removedFlat := make([]bool, ns*n)
 	c.chOff = make([][]int32, ns)
 	c.chIds = make([][]int32, ns)
@@ -247,10 +252,27 @@ func (c *Collection) Refresh(nw *congest.Network, dirty []int) (bool, error) {
 	for _, chg := range changed {
 		if chg {
 			c.rebuildDerived()
+			c.bumpAll()
 			return true, nil
 		}
 	}
 	return false, nil
+}
+
+// RemovalEpoch returns tree i's removal epoch: a counter that changes
+// whenever the set of nodes alive in tree i (InTree) may have changed —
+// RemoveSubtrees bumps it when its flood removes a node of tree i, and
+// RemoveSubtreesLocal, ResetRemovals and a changing Refresh bump it too.
+// Two equal epochs of one collection mean tree i's alive nodes are the
+// same, so a per-tree protocol whose only varying input is the tree repeats
+// exactly (the blocker construction replays such runs, DESIGN.md §3).
+func (c *Collection) RemovalEpoch(i int) uint64 { return c.epoch[i] }
+
+// bumpAll advances every tree's removal epoch.
+func (c *Collection) bumpAll() {
+	for i := range c.epoch {
+		c.epoch[i]++
+	}
 }
 
 // NumTrees returns the number of trees (sources) in the collection.
@@ -368,12 +390,25 @@ func (c *Collection) PathVertices(i, leaf int) []int {
 // match the sequential schedule bit for bit.
 func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoots bool) error {
 	return nw.ShardRuns(len(c.Sources), func(w *congest.Network, i int) error {
+		n := c.G.N
+		root := c.Sources[i]
+		// The flood starts at the alive inZ nodes (roots excepted under
+		// excludeRoots). Without one it sends nothing and removes nothing:
+		// charge its fixed H+1 rounds (Lemma 3.7) without simulating it.
+		starts := false
+		for v := 0; v < n && !starts; v++ {
+			starts = inZ[v] && c.InTree(i, v) && !(excludeRoots && v == root)
+		}
+		if !starts {
+			w.ChargeRounds(c.H + 1)
+			return nil
+		}
+		c.epoch[i]++
 		// Snapshot the pre-flood (removal-filtered) child lists into the
 		// worker's arena: the flood marks removals while it runs, but — like
 		// the materialized lists it replaces — must keep flooding over the
 		// tree as it stood when the flood started.
 		sc := w.Scratch()
-		n := c.G.N
 		off := sc.Int32s(n + 1)
 		for v := 0; v < n; v++ {
 			if c.InTree(i, v) {
@@ -397,10 +432,10 @@ func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoot
 			}
 		}
 		p := congest.ScratchState(sc, removeKey{}, func() *removeProto { return new(removeProto) })
-		p.c, p.i, p.root = c, i, c.Sources[i]
+		p.c, p.i, p.root = c, i, root
 		p.inZ, p.excludeRoots = inZ, excludeRoots
 		p.off, p.ids = off, ids
-		err := w.RunFor(p, c.H+1)
+		err := runFor(w, p, c.H+1)
 		p.c, p.inZ, p.off, p.ids = nil, nil, nil, nil
 		if err != nil {
 			return fmt.Errorf("csssp: remove-subtrees tree %d: %w", i, err)
@@ -408,6 +443,10 @@ func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoot
 		return nil
 	})
 }
+
+// runFor runs the collection's fixed-schedule protocols. Tests swap it for
+// a wrapper that keeps every node live, to check the done flags.
+var runFor = (*congest.Network).RunFor
 
 const kindRemove uint8 = 11
 
@@ -424,7 +463,8 @@ type removeProto struct {
 	off, ids     []int32 // pre-flood child CSR snapshot
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. Every node is done at once: flood starts
+// act in round 0, and everyone else acts only when a notice wakes it.
 func (p *removeProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	c, i := p.c, p.i
 	if round == 0 {
@@ -434,7 +474,7 @@ func (p *removeProto) Step(v, round int, in []congest.Message, send func(congest
 				send(congest.Message{To: int(w), Kind: kindRemove})
 			}
 		}
-		return !p.inZ[v]
+		return true
 	}
 	for _, m := range in {
 		if m.Kind != kindRemove || c.Removed[i][v] {
@@ -480,7 +520,7 @@ func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64
 	}
 	p := congest.ScratchState(nw.Scratch(), upcastKey{}, func() *upcastProto { return new(upcastProto) })
 	p.c, p.i, p.acc = c, i, acc
-	err := nw.RunFor(p, c.H+1)
+	err := runFor(nw, p, c.H+1)
 	p.c, p.acc = nil, nil
 	if err != nil {
 		return fmt.Errorf("csssp: upcast tree %d: %w", i, err)
@@ -500,7 +540,9 @@ type upcastProto struct {
 	acc []int64
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. A node at depth d >= 1 stays live until
+// its send round H-d and is done after it; the root and nodes outside the
+// tree are done at once (only their children's sums wake them).
 func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	c, i, h := p.c, p.i, p.c.H
 	for _, m := range in {
@@ -508,12 +550,17 @@ func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest
 			p.acc[v] += m.A
 		}
 	}
-	if c.InTree(i, v) {
-		if d := c.Depth[i][v]; d > 0 && round == h-d {
-			send(congest.Message{To: c.Parent[i][v], Kind: kindCount, A: p.acc[v]})
-		}
+	if !c.InTree(i, v) {
+		return true
 	}
-	return round >= h
+	d := c.Depth[i][v]
+	if d == 0 {
+		return true
+	}
+	if round == h-d {
+		send(congest.Message{To: c.Parent[i][v], Kind: kindCount, A: p.acc[v]})
+	}
+	return round >= h-d
 }
 
 // ResetRemovals restores every tree to its as-built state (all removal
@@ -522,10 +569,9 @@ func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest
 // callers reset between the two uses.
 func (c *Collection) ResetRemovals() {
 	for i := range c.Removed {
-		for v := range c.Removed[i] {
-			c.Removed[i][v] = false
-		}
+		clear(c.Removed[i])
 	}
+	c.bumpAll()
 }
 
 // RemoveSubtreesLocal applies the effect of Algorithm 6 without consuming
@@ -550,6 +596,7 @@ func (c *Collection) RemoveSubtreesLocal(inZ []bool, excludeRoots bool) {
 				continue
 			}
 			c.Removed[i][v] = true
+			c.epoch[i]++
 			// Children already removed (by this call or earlier) had their
 			// subtrees handled when they were removed.
 			for _, w := range c.ChildIDs(i, v) {
