@@ -30,12 +30,14 @@ type goldenStage struct {
 	Rounds int    `json:"rounds"`
 }
 
-// TestExperimentsGoldenN64 re-runs the n=64 sequential slice of the
-// committed EXPERIMENTS.json (10 scenarios x 4 profiles) the way
+// TestExperimentsGoldenN64 re-runs the n=64 slice of the committed
+// EXPERIMENTS.json (10 scenarios x 4 profiles, seq and sharded) the way
 // cmd/experiment does — one warm Runner per scenario, the scenario seed as
-// the run seed — and requires h, |Q|, rounds, messages, words, max node
-// congestion and every stage's rounds to equal the committed row. A change
-// that moves the distributed schedule fails here.
+// the run seed, Parallel for the sharded rows — and requires h, |Q|,
+// rounds, messages, words, max node congestion and every stage's rounds to
+// equal the committed row. A change that moves the distributed schedule on
+// either execution path fails here. Sharded subtests carry a "/sharded"
+// suffix.
 func TestExperimentsGoldenN64(t *testing.T) {
 	raw, err := os.ReadFile("EXPERIMENTS.json")
 	if err != nil {
@@ -49,16 +51,20 @@ func TestExperimentsGoldenN64(t *testing.T) {
 	}
 	var slice []goldenRow
 	for _, r := range doc.Rows {
-		if r.N == 64 && r.Exec == "seq" {
+		if r.N == 64 && (r.Exec == "seq" || r.Exec == "sharded") {
 			slice = append(slice, r)
 		}
 	}
-	if len(slice) != 40 {
-		t.Fatalf("EXPERIMENTS.json has %d n=64 seq rows, want 40", len(slice))
+	if len(slice) != 80 {
+		t.Fatalf("EXPERIMENTS.json has %d n=64 seq and sharded rows, want 80", len(slice))
 	}
 	runners := map[string]*apsp.Runner{}
 	for _, want := range slice {
-		t.Run(want.Scenario+"/"+want.Algorithm, func(t *testing.T) {
+		name := want.Scenario + "/" + want.Algorithm
+		if want.Exec == "sharded" {
+			name += "/sharded"
+		}
+		t.Run(name, func(t *testing.T) {
 			sc, err := apsp.ParseScenario(want.Scenario)
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +84,7 @@ func TestExperimentsGoldenN64(t *testing.T) {
 				}
 				runners[want.Scenario] = r
 			}
-			res, err := r.Run(apsp.Options{Algorithm: alg, Seed: sc.Seed})
+			res, err := r.Run(apsp.Options{Algorithm: alg, Seed: sc.Seed, Parallel: want.Exec == "sharded"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,10 @@
 // communication graph: a convergecast ("gather") moves items to the root in
 // O(depth + K) rounds and a pipelined flood ("broadcast") moves them from
 // the root to everyone in O(depth + K) rounds, where K is the total number
-// of items. The package also exposes the BFS-tree construction itself
-// (flooding, O(diameter) rounds), which Step 2 of Algorithm 7 uses.
+// of items. The flood's cost is fixed by the tree, so it is charged in
+// closed form rather than simulated. The package also exposes the BFS-tree
+// construction itself (flooding, O(diameter) rounds), which Step 2 of
+// Algorithm 7 uses.
 package broadcast
 
 import (
@@ -41,7 +43,6 @@ type Tree struct {
 const (
 	kindBFSExplore uint8 = iota + 1
 	kindGather
-	kindFlood
 )
 
 // BuildBFS constructs a BFS spanning tree rooted at root by distributed
@@ -167,8 +168,8 @@ func (p *bfsProto) Step(v, round int, in []congest.Message, send func(congest.Me
 
 // bcastKey keys the pooled per-network state of this package's primitives
 // in the network's scratch registry. The pipeline runs thousands of
-// gathers, floods and aggregation waves per Network; pooling their queue
-// arenas and protocol objects makes a steady-state call allocation-free.
+// gathers and aggregation waves per Network; pooling their queue arenas
+// and protocol objects makes a steady-state call allocation-free.
 type bcastKey struct{}
 
 type bcastState struct {
@@ -184,14 +185,9 @@ type bcastState struct {
 	collected  []Item
 	gather     gatherProto
 
-	// Broadcast (flood) state: the per-node receive arena and views, plus
-	// the canonical-order result buffer (distinct from Gather's collected,
-	// whose contents are often this call's input).
-	recvd  [][]Item
-	flood  []Item
-	fwd    []int32
+	// Broadcast state: the canonical-order result buffer (distinct from
+	// Gather's collected, whose contents are often this call's input).
 	outBuf []Item
-	bcast  floodProto
 
 	// GatherSum state: the flat n x m accumulator.
 	acc []int64
@@ -343,37 +339,36 @@ func (p *gatherProto) Step(v, round int, in []congest.Message, send func(congest
 // BFS tree it is O(height + k) here). The items are returned in canonical
 // order as the view every node now holds; like Gather's result, the slice
 // aliases pooled per-network storage valid until the next broadcast call.
+//
+// The flood is charged in closed form, not simulated (DESIGN.md §3): its
+// outcome never depends on the run, and its cost depends only on the tree,
+// k and the bandwidth B. Every node forwards each item to each child the
+// round it arrives, so k > 0 items take height + ⌈k/B⌉ rounds and (n-1)·k
+// one-word messages, k·|children(v)| of them sent by v; an empty flood
+// takes one round. As in a simulated run, a cancelled context or a tree
+// edge that is no longer a link fails the call; no OnRound or FireRound
+// fires.
 func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
-	n := nw.N()
-	st := getState(nw)
-	k := len(items)
-	// Every non-root node receives exactly k items; one arena sliced into
-	// capacity-capped per-node views keeps the flood's hot loop free of
-	// append regrowth (and of n separate allocations).
-	if cap(st.recvd) < n {
-		st.recvd = make([][]Item, n)
-	}
-	st.recvd = st.recvd[:n]
-	for v := range st.recvd {
-		st.recvd[v] = nil
-	}
-	if k > 0 {
-		st.flood = growItems(st.flood, n*k)
-		for v := 0; v < n; v++ {
-			if v != t.Root {
-				off := v * k
-				st.recvd[v] = st.flood[off : off : off+k]
-			}
-		}
-	}
-	st.fwd = congest.Grow(st.fwd, n)
-
-	st.bcast = floodProto{nw: nw, t: t, st: st, items: items, k: k}
-	_, err := nw.Run(&st.bcast, t.Height+k+4+n)
-	st.bcast.items = nil
-	if err != nil {
+	if err := nw.CtxErr(); err != nil {
 		return nil, fmt.Errorf("broadcast: broadcast: %w", err)
 	}
+	k := len(items)
+	s := &nw.Stats
+	if k == 0 {
+		s.Rounds++
+	} else {
+		if err := staleTreeEdge(nw, t); err != nil {
+			return nil, fmt.Errorf("broadcast: broadcast: %w", err)
+		}
+		msgs := int64(nw.N()-1) * int64(k)
+		s.Rounds += t.Height + (k+nw.Bandwidth-1)/nw.Bandwidth
+		s.Messages += msgs
+		s.Words += msgs
+		for v, kids := range t.Children {
+			s.WordsByNode[v] += int64(k) * int64(len(kids))
+		}
+	}
+	st := getState(nw)
 	if cap(st.outBuf) < k {
 		st.outBuf = make([]Item, 0, k)
 	}
@@ -383,41 +378,28 @@ func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
 	return out, nil
 }
 
-// floodProto is the pipelined flood of Broadcast as a reusable protocol
-// object.
-type floodProto struct {
-	nw    *congest.Network
-	t     *Tree
-	st    *bcastState
-	items []Item
-	k     int
-}
-
-// Step implements congest.Proto.
-func (p *floodProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	st, t := p.st, p.t
-	for _, m := range in {
-		if m.Kind != kindFlood {
+// staleTreeEdge returns the error the simulated flood would report on the
+// first tree edge that is not a link of nw, or nil when every edge is one.
+// The flood first sends on a parent's edges in the round equal to the
+// parent's depth, to its children in order, and the engine reports the
+// first violation in sender-id order.
+func staleTreeEdge(nw *congest.Network, t *Tree) error {
+	var bad *congest.ErrNotALink
+	for v, kids := range t.Children {
+		if bad != nil && t.Depth[v] >= bad.Round {
 			continue
 		}
-		st.recvd[v] = append(st.recvd[v], Item{m.A, m.B, m.C})
-	}
-	var src []Item
-	if v == t.Root {
-		src = p.items
-	} else {
-		src = st.recvd[v]
-	}
-	b := p.nw.Bandwidth
-	for b > 0 && int(st.fwd[v]) < len(src) {
-		it := src[st.fwd[v]]
-		st.fwd[v]++
-		for _, c := range t.Children[v] {
-			send(congest.Message{To: c, Kind: kindFlood, A: it.A, B: it.B, C: it.C})
+		for _, c := range kids {
+			if !nw.IsLink(v, c) {
+				bad = &congest.ErrNotALink{Round: t.Depth[v], From: v, To: c}
+				break
+			}
 		}
-		b--
 	}
-	return int(st.fwd[v]) >= p.k && (v == t.Root || len(st.recvd[v]) >= p.k)
+	if bad == nil {
+		return nil
+	}
+	return bad
 }
 
 // AllToAll implements Lemma A.2 generalized to multiple items per node:

@@ -42,7 +42,9 @@ func RandomConnected(c GenConfig, m int) *Graph {
 			g.MustAddEdge(v, u, c.weight(r))
 		}
 	}
-	for g.M() < m {
+	// Extra edges join two distinct nodes, so with fewer than two nodes
+	// there are none to add.
+	for c.N >= 2 && g.M() < m {
 		u := r.Intn(c.N)
 		v := r.Intn(c.N)
 		if u == v {

@@ -330,3 +330,17 @@ func TestOutDegree(t *testing.T) {
 		t.Error("undirected incident counts wrong")
 	}
 }
+
+// TestRandomConnectedTinyN: with fewer than two nodes there is no edge to
+// add, so RandomConnected returns at once (N=1 used to redraw self-loops
+// forever, N=0 to panic in the first draw).
+func TestRandomConnectedTinyN(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		for _, directed := range []bool{false, true} {
+			g := RandomConnected(GenConfig{N: n, Directed: directed, Seed: 1, MaxWeight: 5}, 4)
+			if g.N != n || g.M() != 0 {
+				t.Errorf("N=%d directed=%v: got %d nodes, %d edges; want %d, 0", n, directed, g.N, g.M(), n)
+			}
+		}
+	}
+}

@@ -229,3 +229,13 @@ func TestQuickPublicAPIExact(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRandomGraphSingleNode: a 1-node graph has no pair of distinct nodes
+// to join, so the requested extra edges are skipped instead of redrawn
+// forever.
+func TestRandomGraphSingleNode(t *testing.T) {
+	g := RandomGraph(GenOptions{N: 1}, 3)
+	if g.N() != 1 || g.M() != 0 {
+		t.Errorf("RandomGraph(N=1, m=3) has %d nodes and %d edges, want 1 and 0", g.N(), g.M())
+	}
+}

@@ -6,7 +6,10 @@
 # allocs/op, and fails when any matched benchmark regressed more than
 # THRESHOLD_PCT versus the committed baseline JSON. Wall-clock is NOT
 # gated here (shared CI runners are too noisy); allocation counts are
-# deterministic, so a tight threshold is safe.
+# deterministic, so a tight threshold is safe. They do depend on the
+# worker count (the sharded rows spawn per-core workers and clones), so
+# the benchmark runs at the GOMAXPROCS the baseline was recorded at (its
+# "gomaxprocs" field; the host default when the field is absent).
 #
 # Usage (from the repo root):
 #
@@ -23,6 +26,12 @@ THRESHOLD="${3:-10}"
 if [ ! -f "$BASELINE" ]; then
   echo "check_allocs: baseline $BASELINE not found" >&2
   exit 1
+fi
+
+PROCS="$(jq -r '.gomaxprocs // empty' "$BASELINE")"
+if [ -n "$PROCS" ]; then
+  export GOMAXPROCS="$PROCS"
+  echo "check_allocs: GOMAXPROCS=$PROCS (from $BASELINE)"
 fi
 
 RAW="$(mktemp)"
